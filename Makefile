@@ -84,11 +84,14 @@ crashshort:
 
 # fuzzshort gives every fuzz target a short budget on each check run: the
 # decoders that parse attacker-controlled bytes (WAL records, auth
-# tokens) must never panic, whatever the input. The corpus accumulated
-# under testdata/ replays first, so past crashers stay fixed.
+# tokens) must never panic, whatever the input, and the persistent map
+# under every table and document store must keep each old version intact
+# whatever operation stream follows. The corpus accumulated under
+# testdata/ replays first, so past crashers stay fixed.
 fuzzshort:
 	$(GO) test -run '^$$' -fuzz FuzzTokenDecode -fuzztime 5s ./internal/authtoken/
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 5s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzPMap -fuzztime 5s ./internal/pmap/
 
 # failovershort is the replication gate wired into check: a 3-node
 # cluster elects, replicates, survives kill-the-leader at sampled byte

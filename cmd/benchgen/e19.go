@@ -35,8 +35,10 @@ type e19Measurement struct {
 // e19Run drives totalCommits single-insert transactions through a fresh
 // durable database split across the committers and returns commits/sec
 // plus the WAL's pipeline counters. maxBatchBytes=0 uses the default
-// (grouped); 1 is the fsync-per-frame baseline.
-func e19Run(committers, totalCommits, maxBatchBytes int) (float64, wal.Stats, error) {
+// (grouped); 1 is the fsync-per-frame baseline. Each committer's table
+// starts with tableRows rows, so commit cost can be read against table
+// size.
+func e19Run(committers, totalCommits, maxBatchBytes, tableRows int) (float64, wal.Stats, error) {
 	dir, err := os.MkdirTemp("", "e19-")
 	if err != nil {
 		return 0, wal.Stats{}, err
@@ -52,6 +54,9 @@ func e19Run(committers, totalCommits, maxBatchBytes int) (float64, wal.Stats, er
 	}
 	for g := 0; g < committers; g++ {
 		if _, err := db.Exec(fmt.Sprintf("CREATE TABLE t%d (k TEXT, v INT)", g)); err != nil {
+			return 0, wal.Stats{}, err
+		}
+		if err := fillTable(db, fmt.Sprintf("t%d", g), tableRows); err != nil {
 			return 0, wal.Stats{}, err
 		}
 	}
@@ -91,15 +96,28 @@ func e19Run(committers, totalCommits, maxBatchBytes int) (float64, wal.Stats, er
 	return float64(per*committers) / elapsed.Seconds(), st, nil
 }
 
+// fillTable inserts rows (k TEXT, v INT) rows into table in one
+// transaction: one commit, and one fsync, whatever the size.
+func fillTable(db *reldb.Database, table string, rows int) error {
+	txn := db.Begin()
+	for i := 0; i < rows; i++ {
+		if _, err := txn.Exec(fmt.Sprintf("INSERT INTO %s VALUES ('k%d', %d)", table, i, i)); err != nil {
+			txn.Abort()
+			return err
+		}
+	}
+	return txn.Commit()
+}
+
 // e19Measure produces the row for one committer count: baseline and
 // grouped throughput over the same commit budget, plus the grouped run's
 // batch shape.
 func e19Measure(committers, totalCommits int) (e19Measurement, error) {
-	baseOps, baseStats, err := e19Run(committers, totalCommits, 1)
+	baseOps, baseStats, err := e19Run(committers, totalCommits, 1, 0)
 	if err != nil {
 		return e19Measurement{}, err
 	}
-	groupOps, groupStats, err := e19Run(committers, totalCommits, 0)
+	groupOps, groupStats, err := e19Run(committers, totalCommits, 0, 0)
 	if err != nil {
 		return e19Measurement{}, err
 	}

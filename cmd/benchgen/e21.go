@@ -26,10 +26,12 @@ import (
 // take it write-side across their whole transaction (insert + durable
 // commit), reproducing the old serialization.
 
-// e21ReadRow is one reader-count row: the same Zipf point-query workload
-// against 4 committing writers, under the locked emulation and the MVCC
-// path.
+// e21ReadRow is one (table size, reader count) row: the same Zipf
+// point-query workload against 4 committing writers, under the locked
+// emulation and the MVCC path. The read table and every writer's table
+// hold TableRows rows.
 type e21ReadRow struct {
+	TableRows       int     `json:"table_rows"`
 	Readers         int     `json:"readers"`
 	Writers         int     `json:"writers"`
 	LockedP50US     float64 `json:"locked_read_p50_us"`
@@ -47,6 +49,7 @@ type e21ReadRow struct {
 // engine — the no-write-regression half of the acceptance bar, compared
 // against BENCH_PR4.json.
 type e21CommitRow struct {
+	TableRows     int     `json:"table_rows"`
 	Committers    int     `json:"committers"`
 	Commits       int     `json:"commits"`
 	CommitsPerSec float64 `json:"commits_per_sec"`
@@ -67,7 +70,7 @@ type e21Checkpoint struct {
 
 // e21OpenDB opens a durable database in dir with the read table t
 // (rows Zipf-queried keys, hash-indexed) and one private table per
-// writer.
+// writer, also holding rows rows.
 func e21OpenDB(dir string, rows, writers int) (*reldb.Database, *wal.WAL, error) {
 	w, err := wal.Open(wal.Options{FS: wal.DirFS(dir), Policy: wal.SyncAlways})
 	if err != nil {
@@ -83,17 +86,14 @@ func e21OpenDB(dir string, rows, writers int) (*reldb.Database, *wal.WAL, error)
 	if _, err := db.Exec("CREATE HASH INDEX ON t (k)"); err != nil {
 		return nil, nil, err
 	}
-	for i := 0; i < rows; i++ {
-		txn := db.Begin()
-		if _, err := txn.Exec(fmt.Sprintf("INSERT INTO t VALUES ('k%d', %d)", i, i)); err != nil {
-			return nil, nil, err
-		}
-		if err := txn.Commit(); err != nil {
-			return nil, nil, err
-		}
+	if err := fillTable(db, "t", rows); err != nil {
+		return nil, nil, err
 	}
 	for g := 0; g < writers; g++ {
 		if _, err := db.Exec(fmt.Sprintf("CREATE TABLE w%d (k TEXT, v INT)", g)); err != nil {
+			return nil, nil, err
+		}
+		if err := fillTable(db, fmt.Sprintf("w%d", g), rows); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -289,8 +289,18 @@ func e21CheckpointRun(writers int, duration time.Duration, checkpoint bool) (com
 		float64(maxStall.Microseconds()) / 1000, nil
 }
 
+// e21TableSizes is the table-size sweep of the read and commit rows.
+// Commit cost used to grow with it (every commit copied its table), which
+// a single small table hid.
+func e21TableSizes(quick bool) []int {
+	if quick {
+		return []int{512, 4096}
+	}
+	return []int{512, 10_000}
+}
+
 func e21ReadRows(quick bool) ([]e21ReadRow, error) {
-	const writers, tableRows = 4, 512
+	const writers = 4
 	duration := 600 * time.Millisecond
 	counts := []int{1, 4, 16, 64}
 	if quick {
@@ -298,27 +308,29 @@ func e21ReadRows(quick bool) ([]e21ReadRow, error) {
 		counts = []int{1, 16}
 	}
 	var rows []e21ReadRow
-	for _, readers := range counts {
-		lp50, lp99, lrs, lcs, err := e21ReadRun(readers, writers, tableRows, duration, true)
-		if err != nil {
-			return nil, err
+	for _, tableRows := range e21TableSizes(quick) {
+		for _, readers := range counts {
+			lp50, lp99, lrs, lcs, err := e21ReadRun(readers, writers, tableRows, duration, true)
+			if err != nil {
+				return nil, err
+			}
+			mp50, mp99, mrs, mcs, err := e21ReadRun(readers, writers, tableRows, duration, false)
+			if err != nil {
+				return nil, err
+			}
+			speedup := 0.0
+			if mp50 > 0 {
+				speedup = float64(lp50) / float64(mp50)
+			}
+			rows = append(rows, e21ReadRow{
+				TableRows: tableRows, Readers: readers, Writers: writers,
+				LockedP50US: float64(lp50.Nanoseconds()) / 1e3, LockedP99US: float64(lp99.Nanoseconds()) / 1e3,
+				LockedReadsSec: lrs, LockedCommitSec: lcs,
+				MVCCP50US: float64(mp50.Nanoseconds()) / 1e3, MVCCP99US: float64(mp99.Nanoseconds()) / 1e3,
+				MVCCReadsSec: mrs, MVCCCommitsSec: mcs,
+				P50Speedup: speedup,
+			})
 		}
-		mp50, mp99, mrs, mcs, err := e21ReadRun(readers, writers, tableRows, duration, false)
-		if err != nil {
-			return nil, err
-		}
-		speedup := 0.0
-		if mp50 > 0 {
-			speedup = float64(lp50) / float64(mp50)
-		}
-		rows = append(rows, e21ReadRow{
-			Readers: readers, Writers: writers,
-			LockedP50US: float64(lp50.Nanoseconds()) / 1e3, LockedP99US: float64(lp99.Nanoseconds()) / 1e3,
-			LockedReadsSec: lrs, LockedCommitSec: lcs,
-			MVCCP50US: float64(mp50.Nanoseconds()) / 1e3, MVCCP99US: float64(mp99.Nanoseconds()) / 1e3,
-			MVCCReadsSec: mrs, MVCCCommitsSec: mcs,
-			P50Speedup: speedup,
-		})
 	}
 	return rows, nil
 }
@@ -329,16 +341,24 @@ func e21CommitRows(quick bool) ([]e21CommitRow, error) {
 		totalCommits = 192
 	}
 	var rows []e21CommitRow
-	for _, committers := range []int{1, 8, 64} {
-		ops, _, err := e19Run(committers, totalCommits, 0)
-		if err != nil {
-			return nil, err
+	for _, tableRows := range e21TableSizes(quick) {
+		for _, committers := range []int{1, 8, 64} {
+			// 64 private tables of the largest size would hold most of a
+			// million rows; the smallest size stays comparable with E19.
+			if committers == 64 && tableRows > 512 {
+				continue
+			}
+			ops, _, err := e19Run(committers, totalCommits, 0, tableRows)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, e21CommitRow{
+				TableRows:     tableRows,
+				Committers:    committers,
+				Commits:       totalCommits / committers * committers,
+				CommitsPerSec: ops,
+			})
 		}
-		rows = append(rows, e21CommitRow{
-			Committers:    committers,
-			Commits:       totalCommits / committers * committers,
-			CommitsPerSec: ops,
-		})
 	}
 	return rows, nil
 }
@@ -374,9 +394,9 @@ func runE21(quick bool) {
 		fmt.Fprintf(os.Stderr, "E21: %v\n", err)
 		return
 	}
-	t := &table{header: []string{"readers", "writers", "locked p50", "locked p99", "mvcc p50", "mvcc p99", "p50 speedup", "locked reads/s", "mvcc reads/s", "mvcc commits/s"}}
+	t := &table{header: []string{"table rows", "readers", "writers", "locked p50", "locked p99", "mvcc p50", "mvcc p99", "p50 speedup", "locked reads/s", "mvcc reads/s", "mvcc commits/s"}}
 	for _, r := range readRows {
-		t.add(fmt.Sprint(r.Readers), fmt.Sprint(r.Writers),
+		t.add(fmt.Sprint(r.TableRows), fmt.Sprint(r.Readers), fmt.Sprint(r.Writers),
 			dur(time.Duration(r.LockedP50US*1e3)), dur(time.Duration(r.LockedP99US*1e3)),
 			dur(time.Duration(r.MVCCP50US*1e3)), dur(time.Duration(r.MVCCP99US*1e3)),
 			fmt.Sprintf("%.1fx", r.P50Speedup),
@@ -390,9 +410,9 @@ func runE21(quick bool) {
 		fmt.Fprintf(os.Stderr, "E21: %v\n", err)
 		return
 	}
-	ct := &table{header: []string{"committers", "commits", "commits/s (vs BENCH_PR4.json)"}}
+	ct := &table{header: []string{"table rows", "committers", "commits", "commits/s (vs E19)"}}
 	for _, r := range commitRows {
-		ct.add(fmt.Sprint(r.Committers), fmt.Sprint(r.Commits), fmt.Sprintf("%.0f", r.CommitsPerSec))
+		ct.add(fmt.Sprint(r.TableRows), fmt.Sprint(r.Committers), fmt.Sprint(r.Commits), fmt.Sprintf("%.0f", r.CommitsPerSec))
 	}
 	fmt.Println()
 	ct.print()

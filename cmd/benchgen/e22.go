@@ -304,7 +304,7 @@ func e22Round(clients, perClient, replays int) (e22Row, error) {
 
 	// Fast path: mint once per client, then ride the rolling token. The
 	// last token per client is kept for the replay pass.
-	mintedBefore := env.svc.Gate.Stats().Mint.Minted
+	before := env.svc.Gate.Stats()
 	lastTok := make([]string, clients)
 	tokenLats, tokenWall, err := e22Run(clients, perClient, func(w, i int, c *http.Client) (time.Duration, error) {
 		if lastTok[w] == "" {
@@ -327,7 +327,14 @@ func e22Round(clients, perClient, replays int) (e22Row, error) {
 	if err != nil {
 		return e22Row{}, err
 	}
-	mintRate := float64(env.svc.Gate.Stats().Mint.Minted-mintedBefore) / tokenWall.Seconds()
+	after := env.svc.Gate.Stats()
+	mintRate := float64(after.Mint.Minted-before.Mint.Minted) / tokenWall.Seconds()
+	// The gate's counters are cumulative over the wallet and memo phases
+	// too; the token phase's hit rate is its own delta.
+	fastPathRate := 0.0
+	if fast, slow := after.FastPath-before.FastPath, after.SlowPath-before.SlowPath; fast+slow > 0 {
+		fastPathRate = float64(fast) / float64(fast+slow)
+	}
 
 	// Replay pass: burn each client's live token once, then re-present
 	// it; every re-presentation must be rejected by the replay cache.
@@ -366,7 +373,7 @@ func e22Round(clients, perClient, replays int) (e22Row, error) {
 		TokenReqSec:  float64(len(tokenLats)) / tokenWall.Seconds(),
 		MemoP50US:    e22Pct(memoLats, 0.50),
 		MintPerSec:   mintRate,
-		FastPathRate: st.FastPathHitRate,
+		FastPathRate: fastPathRate,
 		MemoHits:     memoHits, MemoMisses: memoMisses,
 		ReplayEntries: st.Verifier.ReplayEntries, ReplayEvicts: st.Verifier.ReplayEvictions,
 		ReplayRejects: st.Verifier.Replayed - replayedBefore, ReplayAttempts: attempts,

@@ -65,16 +65,18 @@ type dbSnap struct {
 // taken from frozen version tables.
 func (t *Table) snapshot() tableSnap {
 	snap := tableSnap{Name: t.Name, Schema: t.Schema, NextID: t.nextID}
-	for col := range t.hashIdx {
-		snap.HashIdx = append(snap.HashIdx, col)
+	for _, idx := range t.indexes {
+		if idx.ordered {
+			snap.OrdIdx = append(snap.OrdIdx, idx.name)
+		} else {
+			snap.HashIdx = append(snap.HashIdx, idx.name)
+		}
 	}
-	for col := range t.ordIdx {
-		snap.OrdIdx = append(snap.OrdIdx, col)
-	}
-	snap.Rows = make([]rowSnap, 0, len(t.rows))
-	for id, r := range t.rows {
+	snap.Rows = make([]rowSnap, 0, t.rows.Len())
+	t.rows.Ascend(func(id int64, r Row) bool {
 		snap.Rows = append(snap.Rows, rowSnap{ID: id, Row: r.Clone()})
-	}
+		return true
+	})
 	return snap
 }
 

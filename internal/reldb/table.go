@@ -1,21 +1,29 @@
 package reldb
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+
+	"webdbsec/internal/pmap"
 )
 
 // Table is a heap of rows with optional hash and ordered indexes. Rows are
 // addressed by a stable rowID (never reused), which the transaction layer
 // uses for write sets and locks.
 //
-// Tables are copy-on-write at table granularity (the MVCC unit): a table
-// reachable from a published dbVersion is frozen — immutable forever — and
-// all reads on it are lock-free. Mutation happens only on private working
-// copies (a transaction's write set, recovery staging, a follower's apply
-// overlay) that exactly one goroutine owns; committing freezes the copy
-// and installs it into a new version. The frozen flag turns a violation of
-// that ownership discipline into a panic instead of a data race.
+// Rows and index entries live in persistent B-trees (internal/pmap), so a
+// table state is a handful of tree roots. A table reachable from a
+// published dbVersion is frozen — immutable forever — and all reads on it
+// are lock-free. Mutation happens only on private working copies (a
+// transaction's write set, recovery staging, a follower's apply overlay)
+// that exactly one goroutine owns: clone shares every tree with the frozen
+// original, and each Insert, Update or Delete copies only the O(log n)
+// tree nodes on its path, so a commit costs the same at 100k rows as at
+// 1k. Committing freezes the copy and installs it into a new version. The
+// frozen flag turns a violation of that ownership discipline into a panic
+// instead of a data race.
 type Table struct {
 	Name   string
 	Schema Schema
@@ -25,80 +33,64 @@ type Table struct {
 	// written again.
 	frozen bool
 
-	rows   map[int64]Row
+	rows   pmap.Map[int64, Row]
 	nextID int64
 
-	hashIdx map[string]*hashIndex
-	ordIdx  map[string]*orderedIndex
+	indexes []index
 }
 
-// hashIndex maps a column value key to the rowIDs holding it.
-type hashIndex struct {
-	col  int
-	rows map[string]map[int64]bool
-}
-
-// orderedIndex keeps (value, rowID) pairs sorted for range scans — the
-// B-tree stand-in (same asymptotics for lookup via binary search; inserts
-// are O(n) moves, acceptable for the in-memory scale this engine targets).
-type orderedIndex struct {
+// index maps (column value, rowID) pairs, in value order, for one column.
+// Both index kinds share the structure; the kind decides which predicates
+// the planner serves from it: equality for hash indexes, ranges for
+// ordered ones.
+type index struct {
+	name    string
 	col     int
-	entries []ordEntry
+	ordered bool
+	entries pmap.Map[indexKey, struct{}]
 }
 
-type ordEntry struct {
+type indexKey struct {
 	v  Value
 	id int64
 }
 
-// NewTable creates an empty, unfrozen table.
-func NewTable(name string, schema Schema) *Table {
-	return &Table{
-		Name:    name,
-		Schema:  schema,
-		rows:    make(map[int64]Row),
-		hashIdx: make(map[string]*hashIndex),
-		ordIdx:  make(map[string]*orderedIndex),
+func compareIndexKeys(a, b indexKey) int {
+	if c := Compare(a.v, b.v); c != 0 {
+		return c
 	}
+	return cmp.Compare(a.id, b.id)
 }
 
-// freeze marks the table immutable and returns it.
+// NewTable creates an empty, unfrozen table.
+func NewTable(name string, schema Schema) *Table {
+	return &Table{Name: name, Schema: schema, rows: pmap.New[int64, Row](cmp.Compare[int64])}
+}
+
+// freeze marks the table immutable and returns it. Its trees give up the
+// nodes the working copy wrote in place, so later clones copy before
+// they write.
 func (t *Table) freeze() *Table {
 	t.frozen = true
+	t.rows = t.rows.Clone()
+	for i := range t.indexes {
+		t.indexes[i].entries = t.indexes[i].entries.Clone()
+	}
 	return t
 }
 
-// clone returns a private, unfrozen copy the caller may mutate. Row values
-// are shared with the original — safe, because rows in the map are never
-// mutated in place (Insert/Update store fresh clones) — while the row map
-// and both index structures are deep-copied.
+// clone returns a private, unfrozen copy the caller may mutate. It shares
+// the row and index trees with the original: the copy's mutations copy
+// the tree nodes they touch, so the original never changes.
 func (t *Table) clone() *Table {
-	c := &Table{
-		Name:    t.Name,
-		Schema:  t.Schema,
-		rows:    make(map[int64]Row, len(t.rows)),
-		nextID:  t.nextID,
-		hashIdx: make(map[string]*hashIndex, len(t.hashIdx)),
-		ordIdx:  make(map[string]*orderedIndex, len(t.ordIdx)),
+	c := *t
+	c.frozen = false
+	c.rows = t.rows.Clone()
+	c.indexes = append([]index(nil), t.indexes...)
+	for i := range c.indexes {
+		c.indexes[i].entries = t.indexes[i].entries.Clone()
 	}
-	for id, r := range t.rows {
-		c.rows[id] = r
-	}
-	for col, idx := range t.hashIdx {
-		ci := &hashIndex{col: idx.col, rows: make(map[string]map[int64]bool, len(idx.rows))}
-		for k, ids := range idx.rows {
-			m := make(map[int64]bool, len(ids))
-			for id := range ids {
-				m[id] = true
-			}
-			ci.rows[k] = m
-		}
-		c.hashIdx[col] = ci
-	}
-	for col, idx := range t.ordIdx {
-		c.ordIdx[col] = &orderedIndex{col: idx.col, entries: append([]ordEntry(nil), idx.entries...)}
-	}
-	return c
+	return &c
 }
 
 // mutable panics when the table is frozen — the copy-on-write discipline
@@ -112,74 +104,60 @@ func (t *Table) mutable() {
 // CreateHashIndex builds a hash index on the column, indexing existing
 // rows. Only legal on a private working copy.
 func (t *Table) CreateHashIndex(col string) error {
-	t.mutable()
-	ci := t.Schema.ColIndex(col)
-	if ci < 0 {
-		return fmt.Errorf("reldb: table %s has no column %s", t.Name, col)
-	}
-	idx := &hashIndex{col: ci, rows: make(map[string]map[int64]bool)}
-	for id, r := range t.rows {
-		idx.add(r[ci], id)
-	}
-	t.hashIdx[col] = idx
-	return nil
+	return t.createIndex(col, false)
 }
 
 // CreateOrderedIndex builds an ordered index on the column. Only legal on
 // a private working copy.
 func (t *Table) CreateOrderedIndex(col string) error {
+	return t.createIndex(col, true)
+}
+
+func (t *Table) createIndex(col string, ordered bool) error {
 	t.mutable()
 	ci := t.Schema.ColIndex(col)
 	if ci < 0 {
 		return fmt.Errorf("reldb: table %s has no column %s", t.Name, col)
 	}
-	idx := &orderedIndex{col: ci}
-	for id, r := range t.rows {
-		idx.entries = append(idx.entries, ordEntry{r[ci], id})
+	idx := index{name: col, col: ci, ordered: ordered, entries: pmap.New[indexKey, struct{}](compareIndexKeys)}
+	t.rows.Ascend(func(id int64, r Row) bool {
+		idx.entries.Set(indexKey{r[ci], id}, struct{}{})
+		return true
+	})
+	if i := t.findIndex(col, ordered); i >= 0 {
+		t.indexes[i] = idx
+	} else {
+		t.indexes = append(t.indexes, idx)
 	}
-	sort.Slice(idx.entries, func(i, j int) bool { return less(idx.entries[i], idx.entries[j]) })
-	t.ordIdx[col] = idx
 	return nil
 }
 
-func less(a, b ordEntry) bool {
-	if c := Compare(a.v, b.v); c != 0 {
-		return c < 0
+// findIndex returns the position of the column's index of the given kind,
+// or -1.
+func (t *Table) findIndex(col string, ordered bool) int {
+	for i := range t.indexes {
+		if t.indexes[i].name == col && t.indexes[i].ordered == ordered {
+			return i
+		}
 	}
-	return a.id < b.id
+	return -1
 }
 
-func (h *hashIndex) add(v Value, id int64) {
-	k := v.Key()
-	m := h.rows[k]
-	if m == nil {
-		m = make(map[int64]bool)
-		h.rows[k] = m
-	}
-	m[id] = true
-}
-
-func (h *hashIndex) remove(v Value, id int64) {
-	k := v.Key()
-	delete(h.rows[k], id)
-	if len(h.rows[k]) == 0 {
-		delete(h.rows, k)
-	}
-}
-
-func (o *orderedIndex) add(v Value, id int64) {
-	e := ordEntry{v, id}
-	i := sort.Search(len(o.entries), func(i int) bool { return !less(o.entries[i], e) })
-	o.entries = append(o.entries, ordEntry{})
-	copy(o.entries[i+1:], o.entries[i:])
-	o.entries[i] = e
-}
-
-func (o *orderedIndex) remove(v Value, id int64) {
-	e := ordEntry{v, id}
-	i := sort.Search(len(o.entries), func(i int) bool { return !less(o.entries[i], e) })
-	if i < len(o.entries) && o.entries[i].id == id {
-		o.entries = append(o.entries[:i], o.entries[i+1:]...)
+// reindex moves the row's entry in every index from its old row to its
+// new one; a nil old row only adds, a nil new row only drops. An index
+// whose column value is unchanged is left alone.
+func (t *Table) reindex(id int64, old, r Row) {
+	for i := range t.indexes {
+		idx := &t.indexes[i]
+		if old != nil && r != nil && old[idx.col] == r[idx.col] {
+			continue
+		}
+		if old != nil {
+			idx.entries.Delete(indexKey{old[idx.col], id})
+		}
+		if r != nil {
+			idx.entries.Set(indexKey{r[idx.col], id}, struct{}{})
+		}
 	}
 }
 
@@ -193,37 +171,27 @@ func (t *Table) Insert(r Row) (int64, error) {
 		return 0, err
 	}
 	t.nextID++
-	id := t.nextID
-	t.rows[id] = r.Clone()
-	for _, idx := range t.hashIdx {
-		idx.add(r[idx.col], id)
-	}
-	for _, idx := range t.ordIdx {
-		idx.add(r[idx.col], id)
-	}
-	return id, nil
+	t.insertAt(t.nextID, r)
+	return t.nextID, nil
 }
 
-// insertAt restores a row under a specific id (recovery/replica path).
+// insertAt stores a row under a specific id (Insert, and the
+// recovery/replica path).
 func (t *Table) insertAt(id int64, r Row) {
 	t.mutable()
-	t.rows[id] = r.Clone()
+	r = r.Clone()
+	t.rows.Set(id, r)
 	if id > t.nextID {
 		t.nextID = id
 	}
-	for _, idx := range t.hashIdx {
-		idx.add(r[idx.col], id)
-	}
-	for _, idx := range t.ordIdx {
-		idx.add(r[idx.col], id)
-	}
+	t.reindex(id, nil, r)
 }
 
 // Get returns a copy of the row with the given id. Lock-free.
 //
 // seclint:exempt physical row storage; grants and row policies are enforced by SecureDB above the engine
 func (t *Table) Get(id int64) (Row, bool) {
-	r, ok := t.rows[id]
+	r, ok := t.rows.Get(id)
 	if !ok {
 		return nil, false
 	}
@@ -239,19 +207,13 @@ func (t *Table) Update(id int64, r Row) (Row, error) {
 	if err := t.Schema.CheckRow(r); err != nil {
 		return nil, err
 	}
-	old, ok := t.rows[id]
+	old, ok := t.rows.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("reldb: table %s has no row %d", t.Name, id)
 	}
-	for _, idx := range t.hashIdx {
-		idx.remove(old[idx.col], id)
-		idx.add(r[idx.col], id)
-	}
-	for _, idx := range t.ordIdx {
-		idx.remove(old[idx.col], id)
-		idx.add(r[idx.col], id)
-	}
-	t.rows[id] = r.Clone()
+	r = r.Clone()
+	t.rows.Set(id, r)
+	t.reindex(id, old, r)
 	return old, nil
 }
 
@@ -261,90 +223,79 @@ func (t *Table) Update(id int64, r Row) (Row, error) {
 // seclint:exempt physical row storage; grants and row policies are enforced by SecureDB above the engine
 func (t *Table) Delete(id int64) (Row, error) {
 	t.mutable()
-	old, ok := t.rows[id]
+	old, ok := t.rows.Delete(id)
 	if !ok {
 		return nil, fmt.Errorf("reldb: table %s has no row %d", t.Name, id)
 	}
-	for _, idx := range t.hashIdx {
-		idx.remove(old[idx.col], id)
-	}
-	for _, idx := range t.ordIdx {
-		idx.remove(old[idx.col], id)
-	}
-	delete(t.rows, id)
+	t.reindex(id, old, nil)
 	return old, nil
 }
 
 // Len returns the number of rows. Lock-free.
 func (t *Table) Len() int {
-	return len(t.rows)
+	return t.rows.Len()
 }
 
-// Scan calls fn for every (rowID, row) pair; fn must not mutate the row.
-// Iteration order is by rowID for determinism. Lock-free: on a frozen
-// table the iteration sees exactly the version's state no matter what
-// commits concurrently.
+// Scan calls fn for every (rowID, row) pair in rowID order until fn
+// returns false; fn must not mutate the row. Lock-free: on a frozen table
+// the iteration sees exactly the version's state no matter what commits
+// concurrently.
 //
 // seclint:exempt physical row storage; grants and row policies are enforced by SecureDB above the engine
 func (t *Table) Scan(fn func(id int64, r Row) bool) {
-	ids := make([]int64, 0, len(t.rows))
-	for id := range t.rows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if !fn(id, t.rows[id]) {
-			return
-		}
-	}
+	t.rows.Ascend(fn)
 }
 
 // LookupEq uses a hash index (if present) to find rowIDs whose column
-// equals v; ok is false when no usable index exists. Lock-free.
+// equals v, in rowID order; ok is false when no usable index exists.
+// Lock-free.
 func (t *Table) LookupEq(col string, v Value) (ids []int64, ok bool) {
-	idx, exists := t.hashIdx[col]
-	if !exists {
+	i := t.findIndex(col, false)
+	if i < 0 {
 		return nil, false
 	}
-	for id := range idx.rows[v.Key()] {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	// Equal values are adjacent and ordered by rowID within the run.
+	t.indexes[i].entries.AscendFrom(indexKey{v, math.MinInt64}, func(k indexKey, _ struct{}) bool {
+		if Compare(k.v, v) != 0 {
+			return false
+		}
+		ids = append(ids, k.id)
+		return true
+	})
 	return ids, true
 }
 
-// LookupRange uses an ordered index to find rowIDs with lo <= col <= hi;
-// nil bounds are open. ok is false when no ordered index exists. Lock-free.
+// LookupRange uses an ordered index to find rowIDs with lo <= col <= hi,
+// in rowID order; nil bounds are open. ok is false when no ordered index
+// exists. Lock-free.
 func (t *Table) LookupRange(col string, lo, hi *Value) (ids []int64, ok bool) {
-	idx, exists := t.ordIdx[col]
-	if !exists {
+	i := t.findIndex(col, true)
+	if i < 0 {
 		return nil, false
 	}
-	start := 0
-	if lo != nil {
-		start = sort.Search(len(idx.entries), func(i int) bool {
-			return Compare(idx.entries[i].v, *lo) >= 0
-		})
-	}
-	for i := start; i < len(idx.entries); i++ {
-		if hi != nil && Compare(idx.entries[i].v, *hi) > 0 {
-			break
+	collect := func(k indexKey, _ struct{}) bool {
+		if hi != nil && Compare(k.v, *hi) > 0 {
+			return false
 		}
-		ids = append(ids, idx.entries[i].id)
+		ids = append(ids, k.id)
+		return true
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	if lo != nil {
+		t.indexes[i].entries.AscendFrom(indexKey{*lo, math.MinInt64}, collect)
+	} else {
+		t.indexes[i].entries.Ascend(collect)
+	}
+	slices.Sort(ids)
 	return ids, true
 }
 
 // HasHashIndex reports whether the column has a hash index. Lock-free.
 func (t *Table) HasHashIndex(col string) bool {
-	_, ok := t.hashIdx[col]
-	return ok
+	return t.findIndex(col, false) >= 0
 }
 
 // HasOrderedIndex reports whether the column has an ordered index.
 // Lock-free.
 func (t *Table) HasOrderedIndex(col string) bool {
-	_, ok := t.ordIdx[col]
-	return ok
+	return t.findIndex(col, true) >= 0
 }

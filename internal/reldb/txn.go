@@ -105,7 +105,7 @@ func (lm *lockManager) releaseAll(txn int64) {
 // private working copies of each touched table under strict two-phase
 // exclusive locks, and Commit freezes the copies and installs them as the
 // next version. Abort simply discards the copies — there is no undo,
-// because nothing was ever shared.
+// because the copies never wrote a tree node they share with a version.
 type Txn struct {
 	id   int64
 	db   *Database

@@ -1,6 +1,9 @@
 package xmldoc
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func genDoc(name string) *Document {
 	return NewBuilder(name, "root").Element("leaf", "x").Freeze()
@@ -63,6 +66,52 @@ func TestStoreSetsOf(t *testing.T) {
 		if !s.SetContains(set, "a.xml") {
 			t.Errorf("SetsOf lists %s but SetContains disagrees", set)
 		}
+	}
+}
+
+// TestRemoveUnlinksExactlyItsSets: Remove drops the document from every
+// set that contains it and from no other, leaves every other document's
+// membership and generation as it was, and leaves a snapshot taken before
+// the Remove seeing the old membership.
+func TestRemoveUnlinksExactlyItsSets(t *testing.T) {
+	s := NewStore()
+	for _, name := range []string{"a.xml", "b.xml", "c.xml"} {
+		s.Put(genDoc(name))
+	}
+	s.AddToSet("s1", "a.xml")
+	s.AddToSet("s1", "b.xml")
+	s.AddToSet("s2", "a.xml")
+	s.AddToSet("s3", "b.xml")
+	s.AddToSet("s3", "c.xml")
+	gb, gc := s.DocGeneration("b.xml"), s.DocGeneration("c.xml")
+	before := s.Snapshot()
+	defer before.Release()
+
+	s.Remove("a.xml")
+
+	if got := s.SetsOf("a.xml"); got != nil {
+		t.Errorf("SetsOf(a.xml) after Remove = %v, want nil", got)
+	}
+	want := map[string]string{"s1": "[b.xml]", "s2": "[]", "s3": "[b.xml c.xml]"}
+	for set, members := range want {
+		if got := fmt.Sprint(s.SetMembers(set)); got != members {
+			t.Errorf("SetMembers(%s) = %s, want %s", set, got, members)
+		}
+		if s.SetContains(set, "a.xml") {
+			t.Errorf("SetContains(%s, a.xml) after Remove", set)
+		}
+	}
+	if got := fmt.Sprint(s.SetsOf("b.xml")); got != "[s1 s3]" {
+		t.Errorf("SetsOf(b.xml) = %s, want [s1 s3]", got)
+	}
+	if s.DocGeneration("b.xml") != gb || s.DocGeneration("c.xml") != gc {
+		t.Error("removing a.xml changed another document's generation")
+	}
+	if got := fmt.Sprint(before.SetsOf("a.xml")); got != "[s1 s2]" {
+		t.Errorf("pre-Remove snapshot SetsOf(a.xml) = %s, want [s1 s2]", got)
+	}
+	if got := fmt.Sprint(before.SetMembers("s1")); got != "[a.xml b.xml]" {
+		t.Errorf("pre-Remove snapshot SetMembers(s1) = %s, want [a.xml b.xml]", got)
 	}
 }
 

@@ -69,16 +69,16 @@ func OpenStore(w *wal.WAL) (*Store, error) {
 			if err != nil {
 				return fmt.Errorf("xmldoc: replay put %s: %w", rec.Doc, err)
 			}
-			v.docs[rec.Doc] = d
+			v.docs.Set(rec.Doc, d)
 		case "remove":
-			delete(v.docs, rec.Doc)
+			v.docs.Delete(rec.Doc)
 			v.unlinkDoc(rec.Doc)
 		case "addset":
-			v.linkOwned(rec.Set, rec.Doc)
+			v.link(rec.Set, rec.Doc)
 		default:
 			return fmt.Errorf("xmldoc: unknown journal op %q at lsn %d", rec.Op, lsn)
 		}
-		v.docGens[rec.Doc] = rec.DocGen
+		v.docGens.Set(rec.Doc, rec.DocGen)
 		v.gen = rec.Gen
 		v.lsn = int64(lsn)
 		return nil
@@ -87,6 +87,7 @@ func OpenStore(w *wal.WAL) (*Store, error) {
 		return nil, err
 	}
 	s.w = w
+	v.freeze()
 	s.current.Store(v)
 	return s, nil
 }
@@ -99,15 +100,15 @@ func stageSnap(v *storeVersion, snap *storeSnap) error {
 		if err != nil {
 			return fmt.Errorf("xmldoc: restore %s: %w", name, err)
 		}
-		v.docs[name] = d
+		v.docs.Set(name, d)
 	}
 	for set, docs := range snap.Sets {
 		for _, doc := range docs {
-			v.linkOwned(set, doc)
+			v.link(set, doc)
 		}
 	}
 	for name, g := range snap.DocGens {
-		v.docGens[name] = g
+		v.docGens.Set(name, g)
 	}
 	v.gen = snap.Gen
 	return nil
@@ -127,21 +128,22 @@ func (s *Store) Checkpoint() error {
 	defer v.pins.Add(-1)
 	snap := storeSnap{
 		Gen:     v.gen,
-		DocGens: make(map[string]uint64, len(v.docGens)),
-		Docs:    make(map[string]string, len(v.docs)),
-		Sets:    make(map[string][]string, len(v.sets)),
+		DocGens: make(map[string]uint64, v.docGens.Len()),
+		Docs:    make(map[string]string, v.docs.Len()),
+		Sets:    make(map[string][]string),
 	}
-	for name, g := range v.docGens {
+	v.docGens.Ascend(func(name string, g uint64) bool {
 		snap.DocGens[name] = g
-	}
-	for name, d := range v.docs {
+		return true
+	})
+	v.docs.Ascend(func(name string, d *Document) bool {
 		snap.Docs[name] = d.Canonical()
-	}
-	for set, docs := range v.sets {
-		for doc := range docs {
-			snap.Sets[set] = append(snap.Sets[set], doc)
-		}
-	}
+		return true
+	})
+	v.sets.Ascend(func(p namePair, _ struct{}) bool {
+		snap.Sets[p.a] = append(snap.Sets[p.a], p.b)
+		return true
+	})
 	payload, err := json.Marshal(&snap)
 	if err != nil {
 		return fmt.Errorf("xmldoc: encode snapshot: %w", err)

@@ -25,23 +25,23 @@ func (s *Store) ApplyReplicated(lsn uint64, payload []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.current.Load().clone()
+	v := &storeVersion{storeState: s.current.Load().storeState}
 	switch rec.Op {
 	case "put":
 		d, err := ParseString(rec.Doc, rec.XML)
 		if err != nil {
 			return fmt.Errorf("xmldoc: replicate put %s: %w", rec.Doc, err)
 		}
-		v.docs[rec.Doc] = d
+		v.docs.Set(rec.Doc, d)
 	case "remove":
-		delete(v.docs, rec.Doc)
+		v.docs.Delete(rec.Doc)
 		v.unlinkDoc(rec.Doc)
 	case "addset":
 		v.link(rec.Set, rec.Doc)
 	default:
 		return fmt.Errorf("xmldoc: unknown replicated op %q at lsn %d", rec.Op, lsn)
 	}
-	v.docGens[rec.Doc] = rec.DocGen
+	v.docGens.Set(rec.Doc, rec.DocGen)
 	v.gen = rec.Gen
 	s.installLocked(int64(lsn), v)
 	return nil
@@ -64,6 +64,7 @@ func (s *Store) RestoreReplicated(lsn uint64, snapshot []byte) error {
 		return err
 	}
 	v.lsn = int64(lsn)
+	v.freeze()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// A resync may rewind the LSN (divergence repair), so bypass

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"webdbsec/internal/pmap"
 	"webdbsec/internal/wal"
 )
 
@@ -436,10 +437,11 @@ func (d *Document) Prune(keep func(*Node) bool) *Document {
 // Internally the store is multi-versioned: the whole decision-relevant
 // state (documents, set membership, generations) lives in an immutable
 // storeVersion behind an atomic pointer. Readers load the pointer and
-// never take a lock; writers build a copy-on-write successor under mu and
-// publish it stamped with the WAL LSN of its journal entry, so version
-// order and replication order coincide. Snapshot pins a version when a
-// caller needs several reads to observe one consistent state.
+// never take a lock; writers derive a successor that shares the
+// predecessor's trees under mu and publish it stamped with the WAL LSN
+// of its journal entry, so version order and replication order
+// coincide. Snapshot pins a version when a caller needs several reads to
+// observe one consistent state.
 type Store struct {
 	// mu serializes writers (Put, Remove, AddToSet, the replication apply
 	// path) and version installation; readers never take it.
@@ -457,141 +459,127 @@ type Store struct {
 	err error    // seclint:guardedby mu
 }
 
-// storeVersion is one immutable state of the store. A writer builds it
-// privately — cloning the outer maps and any inner set map it touches —
-// and nothing mutates it after publication.
+// storeVersion is one immutable state of the store. Its maps are
+// persistent B-trees (internal/pmap): a writer derives the successor by
+// copying the storeState value, which shares every tree, and each
+// mutation then copies only the O(log n) tree nodes it touches. So
+// publishing a version costs the same at 16k documents as at 1k, and
+// nothing reachable from a published version is ever written again.
 type storeVersion struct {
+	storeState
+	// pins counts snapshots holding this version live.
+	pins atomic.Int64
+}
+
+type storeState struct {
 	// lsn is the WAL LSN of the journal entry that produced this version
 	// (0 for genesis and for stores without a durable backend). Every
 	// journal entry describes one complete mutation, so a snapshot of the
 	// version at LSN n holds exactly the mutations journaled at or below n
 	// — the fence and the truncation point of a fuzzy checkpoint coincide.
-	lsn  int64
-	gen  uint64
-	docs map[string]*Document
-	// sets maps a set name to the document names it contains.
-	sets map[string]map[string]bool
-	// memberOf is the reverse index: document name -> set names. It lets
-	// the policy index find set-level policies without scanning all sets.
-	memberOf map[string]map[string]bool
-	docGens  map[string]uint64
-	// pins counts snapshots holding this version live.
-	pins atomic.Int64
+	lsn     int64
+	gen     uint64
+	docs    pmap.Map[string, *Document]
+	docGens pmap.Map[string, uint64]
+	// sets holds (set, document) membership pairs and memberOf the same
+	// pairs reversed, (document, set). Both are ordered by the first name,
+	// so a set's members, and a document's sets, are one sorted run. The
+	// reverse index lets the policy index find set-level policies without
+	// scanning all sets.
+	sets, memberOf pmap.Map[namePair, struct{}]
+}
+
+type namePair struct{ a, b string }
+
+func compareNamePairs(x, y namePair) int {
+	if c := strings.Compare(x.a, y.a); c != 0 {
+		return c
+	}
+	return strings.Compare(x.b, y.b)
 }
 
 func newStoreVersion() *storeVersion {
-	return &storeVersion{
-		docs:     make(map[string]*Document),
-		sets:     make(map[string]map[string]bool),
-		memberOf: make(map[string]map[string]bool),
-		docGens:  make(map[string]uint64),
-	}
+	return &storeVersion{storeState: storeState{
+		docs:     pmap.New[string, *Document](strings.Compare),
+		docGens:  pmap.New[string, uint64](strings.Compare),
+		sets:     pmap.New[namePair, struct{}](compareNamePairs),
+		memberOf: pmap.New[namePair, struct{}](compareNamePairs),
+	}}
 }
 
-// clone returns a private successor sharing the inner set maps with v; the
-// writer must replace (not mutate) any inner map it changes — link and
-// unlinkDoc do.
-func (v *storeVersion) clone() *storeVersion {
-	nv := &storeVersion{
-		lsn:      v.lsn,
-		gen:      v.gen,
-		docs:     make(map[string]*Document, len(v.docs)+1),
-		sets:     make(map[string]map[string]bool, len(v.sets)+1),
-		memberOf: make(map[string]map[string]bool, len(v.memberOf)+1),
-		docGens:  make(map[string]uint64, len(v.docGens)+1),
-	}
-	for k, d := range v.docs {
-		nv.docs[k] = d
-	}
-	for k, m := range v.sets {
-		nv.sets[k] = m
-	}
-	for k, m := range v.memberOf {
-		nv.memberOf[k] = m
-	}
-	for k, g := range v.docGens {
-		nv.docGens[k] = g
-	}
-	return nv
+// freeze ends v's private phase before publication: its maps give up the
+// nodes the writer wrote in place, so successors copied from v copy
+// before they write.
+func (v *storeVersion) freeze() {
+	v.docs = v.docs.Clone()
+	v.docGens = v.docGens.Clone()
+	v.sets = v.sets.Clone()
+	v.memberOf = v.memberOf.Clone()
 }
 
-// link wires doc into set in both directions, copying the touched inner
-// maps so versions sharing them are undisturbed. Private versions only.
+// link wires doc into set in both directions. Private versions only.
 func (v *storeVersion) link(set, doc string) {
-	m := copySet(v.sets[set])
-	m[doc] = true
-	v.sets[set] = m
-	r := copySet(v.memberOf[doc])
-	r[set] = true
-	v.memberOf[doc] = r
+	v.sets.Set(namePair{set, doc}, struct{}{})
+	v.memberOf.Set(namePair{doc, set}, struct{}{})
 }
 
-// linkOwned wires doc into set in place. Only for versions whose inner
-// maps are all private (staging during recovery or restore), never for
-// clones of a published version.
-func (v *storeVersion) linkOwned(set, doc string) {
-	m := v.sets[set]
-	if m == nil {
-		m = make(map[string]bool)
-		v.sets[set] = m
-	}
-	m[doc] = true
-	r := v.memberOf[doc]
-	if r == nil {
-		r = make(map[string]bool)
-		v.memberOf[doc] = r
-	}
-	r[set] = true
-}
-
-// unlinkDoc drops doc from every set, copying the touched inner maps.
+// unlinkDoc drops doc from the sets that contain it — exactly those
+// memberOf lists. Private versions only.
 func (v *storeVersion) unlinkDoc(doc string) {
-	for set, m := range v.sets {
-		if m[doc] {
-			nm := copySet(m)
-			delete(nm, doc)
-			v.sets[set] = nm
-		}
+	for _, set := range v.setsOf(doc) {
+		v.sets.Delete(namePair{set, doc})
+		v.memberOf.Delete(namePair{doc, set})
 	}
-	delete(v.memberOf, doc)
 }
 
-func copySet(m map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(m)+1)
-	for k := range m {
-		out[k] = true
-	}
-	return out
+// bumpDocGen advances the named document's generation and returns it.
+// Private versions only.
+func (v *storeVersion) bumpDocGen(name string) uint64 {
+	g, _ := v.docGens.Get(name)
+	v.docGens.Set(name, g+1)
+	return g + 1
+}
+
+func (v *storeVersion) docGen(name string) uint64 {
+	g, _ := v.docGens.Get(name)
+	return g
 }
 
 func (v *storeVersion) names() []string {
-	out := make([]string, 0, len(v.docs))
-	for name := range v.docs {
+	out := make([]string, 0, v.docs.Len())
+	v.docs.Ascend(func(name string, _ *Document) bool {
 		out = append(out, name)
-	}
-	sort.Strings(out)
+		return true
+	})
 	return out
 }
 
+func (v *storeVersion) setContains(set, doc string) bool {
+	_, ok := v.sets.Get(namePair{set, doc})
+	return ok
+}
+
+// setsOf returns the sets containing doc, sorted; nil for none.
 func (v *storeVersion) setsOf(doc string) []string {
-	m := v.memberOf[doc]
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for set := range m {
-		out = append(out, set)
-	}
-	sort.Strings(out)
-	return out
+	return pairRun(&v.memberOf, doc)
 }
 
+// setMembers returns the documents of set, sorted; nil for none.
 func (v *storeVersion) setMembers(set string) []string {
+	return pairRun(&v.sets, set)
+}
+
+// pairRun returns the second names of the pairs whose first name is a,
+// in order.
+func pairRun(m *pmap.Map[namePair, struct{}], a string) []string {
 	var out []string
-	for name := range v.sets[set] {
-		out = append(out, name)
-	}
-	sort.Strings(out)
+	m.AscendFrom(namePair{a: a}, func(p namePair, _ struct{}) bool {
+		if p.a != a {
+			return false
+		}
+		out = append(out, p.b)
+		return true
+	})
 	return out
 }
 
@@ -612,6 +600,7 @@ func NewStore() *Store {
 //
 // seclint:locked caller holds s.mu
 func (s *Store) installLocked(lsn int64, v *storeVersion) {
+	v.freeze()
 	cur := s.current.Load()
 	if lsn < cur.lsn {
 		lsn = cur.lsn
@@ -675,13 +664,12 @@ func (s *Store) VersionStats() StoreVersionStats {
 func (s *Store) Put(d *Document) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.current.Load().clone()
-	v.docs[d.Name] = d
-	v.docGens[d.Name]++
+	v := &storeVersion{storeState: s.current.Load().storeState}
+	v.docs.Set(d.Name, d)
 	v.gen++
 	lsn := s.journalLocked(&storeJournal{
 		Op: "put", Doc: d.Name, XML: d.Canonical(),
-		Gen: v.gen, DocGen: v.docGens[d.Name],
+		Gen: v.gen, DocGen: v.bumpDocGen(d.Name),
 	})
 	s.installLocked(lsn, v)
 }
@@ -690,9 +678,7 @@ func (s *Store) Put(d *Document) {
 //
 // seclint:exempt document storage below the access-control gate; accessctl.Engine computes authorized views above it
 func (s *Store) Get(name string) (*Document, bool) {
-	v := s.current.Load()
-	d, ok := v.docs[name]
-	return d, ok
+	return s.current.Load().docs.Get(name)
 }
 
 // Remove deletes the named document and drops it from every set, advancing
@@ -702,20 +688,19 @@ func (s *Store) Get(name string) (*Document, bool) {
 func (s *Store) Remove(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.current.Load().clone()
-	delete(v.docs, name)
+	v := &storeVersion{storeState: s.current.Load().storeState}
+	v.docs.Delete(name)
 	v.unlinkDoc(name)
-	v.docGens[name]++
 	v.gen++
 	lsn := s.journalLocked(&storeJournal{
-		Op: "remove", Doc: name, Gen: v.gen, DocGen: v.docGens[name],
+		Op: "remove", Doc: name, Gen: v.gen, DocGen: v.bumpDocGen(name),
 	})
 	s.installLocked(lsn, v)
 }
 
 // Len returns the number of documents in the store.
 func (s *Store) Len() int {
-	return len(s.current.Load().docs)
+	return s.current.Load().docs.Len()
 }
 
 // Generation returns the store-wide mutation counter: it advances on every
@@ -731,7 +716,7 @@ func (s *Store) Generation() uint64 {
 // (name, generation) are invalidated precisely — mutating one document
 // does not disturb cached artifacts of any other.
 func (s *Store) DocGeneration(name string) uint64 {
-	return s.current.Load().docGens[name]
+	return s.current.Load().docGen(name)
 }
 
 // Names returns the document names in sorted order.
@@ -747,19 +732,18 @@ func (s *Store) Names() []string {
 func (s *Store) AddToSet(set, doc string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.current.Load().clone()
+	v := &storeVersion{storeState: s.current.Load().storeState}
 	v.link(set, doc)
-	v.docGens[doc]++
 	v.gen++
 	lsn := s.journalLocked(&storeJournal{
-		Op: "addset", Doc: doc, Set: set, Gen: v.gen, DocGen: v.docGens[doc],
+		Op: "addset", Doc: doc, Set: set, Gen: v.gen, DocGen: v.bumpDocGen(doc),
 	})
 	s.installLocked(lsn, v)
 }
 
 // SetContains reports whether the named set contains the document.
 func (s *Store) SetContains(set, doc string) bool {
-	return s.current.Load().sets[set][doc]
+	return s.current.Load().setContains(set, doc)
 }
 
 // SetsOf returns the names of the sets containing the document, sorted.
@@ -814,12 +798,11 @@ func (sn *StoreSnapshot) LSN() int64 { return sn.v.lsn }
 //
 // seclint:exempt document storage below the access-control gate; accessctl.Engine computes authorized views above it
 func (sn *StoreSnapshot) Get(name string) (*Document, bool) {
-	d, ok := sn.v.docs[name]
-	return d, ok
+	return sn.v.docs.Get(name)
 }
 
 // Len returns the number of documents as of the snapshot.
-func (sn *StoreSnapshot) Len() int { return len(sn.v.docs) }
+func (sn *StoreSnapshot) Len() int { return sn.v.docs.Len() }
 
 // Generation returns the store-wide mutation counter as of the snapshot.
 func (sn *StoreSnapshot) Generation() uint64 { return sn.v.gen }
@@ -827,7 +810,7 @@ func (sn *StoreSnapshot) Generation() uint64 { return sn.v.gen }
 // DocGeneration returns the named document's generation as of the
 // snapshot.
 func (sn *StoreSnapshot) DocGeneration(name string) uint64 {
-	return sn.v.docGens[name]
+	return sn.v.docGen(name)
 }
 
 // Names returns the document names in sorted order as of the snapshot.
@@ -836,7 +819,7 @@ func (sn *StoreSnapshot) Names() []string { return sn.v.names() }
 // SetContains reports whether the named set contains the document as of
 // the snapshot.
 func (sn *StoreSnapshot) SetContains(set, doc string) bool {
-	return sn.v.sets[set][doc]
+	return sn.v.setContains(set, doc)
 }
 
 // SetsOf returns the names of the sets containing the document as of the
